@@ -106,9 +106,9 @@ def test_bench_sharded_vs_serial_probe():
 
     Same universe, same seeds: by the differential-equivalence tests the
     two arms compute identical results, so the comparison is pure
-    execution cost.  The serial arm runs the single-shard inline path
-    (today's behaviour); the parallel arm runs four shards over four
-    worker processes.
+    execution cost.  The one-worker arm runs a single shard in-process
+    (what ``--workers 1`` does); the parallel arm runs four shards over
+    four worker processes.
     """
     universe = generate_universe(DatasetSpec.notify_email(scale=PAR_SCALE), seed=SEED + 20)
     timings = {}
@@ -122,7 +122,6 @@ def test_bench_sharded_vs_serial_probe():
             workers=workers,
             testbed_seed=SEED + 21,
             campaign_seed=SEED,
-            use_processes=workers > 1,
         )
         timings[workers] = time.perf_counter() - t_start
         probes = len(merged.result.results)

@@ -68,12 +68,16 @@ def apply_reputation_effects(
             host.behavior.blacklist_rejection = "blacklist"
 
 
-def make_synth_config(seed: int) -> Tuple[RsaKeyPair, SynthConfig]:
+def make_synth_config(
+    seed: int, keypair: Optional[RsaKeyPair] = None
+) -> Tuple[RsaKeyPair, SynthConfig]:
     """The (keypair, synthesizing-server config) a :class:`Testbed` with
-    ``seed`` would build.  Exposed so the shard-merge layer
-    (:mod:`repro.core.parallel`) can attribute worker query logs without
-    standing up a coordinator-side testbed of its own."""
-    keypair = generate_keypair(1024, seed=seed + 4242)
+    ``seed`` would build.  The shard coordinator (:mod:`repro.core.
+    parallel`) calls this once per run and hands the key pair to every
+    shard's testbed; a given ``keypair`` (the seed's own) skips the RSA
+    key generation."""
+    if keypair is None:
+        keypair = generate_keypair(1024, seed=seed + 4242)
     config = SynthConfig(
         probe_ipv4=SENDER_IPV4,
         probe_ipv6=SENDER_IPV6,
@@ -91,7 +95,8 @@ class Testbed:
     shard's mtaid set so a K-way parallel run does not pay K full fleet
     deployments.  DNS (the synthesizing server and the universe zone) is
     always deployed in full: zone data is cheap, stateless, and identical
-    in every shard.
+    in every shard.  ``keypair`` is the seed's DKIM key pair when the
+    caller already holds it (see :func:`make_synth_config`).
     """
 
     __test__ = False  # not a pytest test class, despite the name
@@ -103,6 +108,7 @@ class Testbed:
         obs: Optional[Observability] = None,
         mta_filter: Optional[Collection[str]] = None,
         faults: Optional[FaultPlan] = None,
+        keypair: Optional[RsaKeyPair] = None,
     ) -> None:
         self.universe = universe
         self.seed = seed
@@ -117,7 +123,7 @@ class Testbed:
         self.clock = Clock()
         self.network = Network(UniformLatency(0.004, 0.045, seed=seed), self.clock, faults=faults)
         self.directory = AuthorityDirectory()
-        self.keypair, self.synth_config = make_synth_config(seed)
+        self.keypair, self.synth_config = make_synth_config(seed, keypair)
         self.synth = SynthesizingAuthority(self.synth_config, obs=self.obs, faults=faults)
         self.synth.deploy(self.network, self.directory)
         self.receivers: Dict[str, ReceivingMta] = {}

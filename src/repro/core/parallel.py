@@ -20,21 +20,23 @@ partition exact rather than approximate:
   mtaid and notify deliveries by provider pool, so each receiver's
   entire workload lands in exactly one shard.
 
-Each worker process stands up a full :class:`~repro.core.campaign.
-Testbed` for the universe (receivers filtered to its shard), executes
-its slice of the coordinator's schedule, and ships back a picklable
-:class:`ShardResult`: campaign records, the raw synthesizing-server
-query log, a metrics snapshot, and span counts.  The merge layer
-(:func:`merge_shard_results`) reassembles outputs that are
-content-identical to a serial run — the same attributed-query multiset,
-the same analysis tables, the same tracecheck verdict — which
-``tests/test_core_parallel.py`` proves differentially for K ∈ {1, 2, 4}.
+This is the only campaign pipeline the runner has: one shard is the
+serial case.  Each shard stands up a full :class:`~repro.core.campaign.
+Testbed` for the universe (receivers filtered to its shard, DKIM key
+pair handed down by the coordinator), executes its slice of the
+coordinator's schedule, and returns a :class:`ShardResult`: campaign
+records, the raw synthesizing-server query log, a metrics snapshot, and
+its finished spans (which pickle as plain tuples).  With one worker the
+shards run in-process; a process pool starts only when ``workers > 1``.
+The merge layer reassembles outputs that are content-identical whatever
+the shard count — the same attributed-query multiset, analysis tables,
+tracecheck verdict, metrics and spans (up to span ids and one
+``campaign.run`` root per shard) — which ``tests/test_core_parallel.py``
+proves differentially for K ∈ {1, 2, 4}.
 
 Workers are spawn-safe: the worker entry point is a module-level
 function and everything it receives or returns pickles cleanly, so the
-engine works under any ``multiprocessing`` start method.  Span *objects*
-stay in the worker (only counts travel); span/query-log reconciliation
-can still run, per shard, inside each worker (``reconcile=True``).
+engine works under any ``multiprocessing`` start method.
 """
 
 from __future__ import annotations
@@ -61,12 +63,14 @@ from repro.core.datasets import MtaHost, Universe, UniverseShard, partition_univ
 from repro.core.policies import POLICIES, policy_by_id
 from repro.core.preflight import preflight_policies
 from repro.core.probe import ProbeResult
-from repro.core.querylog import QueryIndex, attribute_queries
+from repro.core.querylog import AttributionStats, QueryIndex, attribute_queries_with_stats
 from repro.core.synth import SynthConfig
+from repro.dkim.rsa import RsaKeyPair
 from repro.dns.server import QueryLogEntry
 from repro.net.faults import FaultPlan
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Span, concat_spans, span_records, spans_from_records
 
 _NOTIFY_CAMPAIGN = "notify"
 _PROBE_CAMPAIGN = "probe"
@@ -87,8 +91,9 @@ class ShardJob:
     universe: Universe
     tasks: Union[List[NotifyTask], List[ProbeTask]]
     testbed_seed: int
+    #: The testbed seed's DKIM key pair, generated once by the coordinator.
+    keypair: RsaKeyPair
     obs_enabled: bool = True
-    reconcile: bool = False
     # notify parameters
     spacing: float = 2.0
     start_time: float = 0.0
@@ -101,7 +106,7 @@ class ShardJob:
     # fault injection: the plan travels as (spec, seed) strings — each
     # worker rebuilds an identical FaultPlan, and because plan decisions
     # are pure functions of (seed, kind, endpoints, virtual time), every
-    # shard draws exactly what the serial run would.
+    # shard draws exactly what a one-shard run would.
     faults_spec: str = ""
     faults_seed: int = 0
 
@@ -115,31 +120,44 @@ class ShardResult:
     probe_results: List[ProbeResult] = field(default_factory=list)
     raw_log: List[QueryLogEntry] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
-    span_count: int = 0
-    #: Per-shard span/query-log reconciliation verdict (None if not run).
-    reconciled: Optional[bool] = None
+    #: The shard's finished spans, in completion order, ids from 1.
+    spans: List[Span] = field(default_factory=list)
+
+    def __getstate__(self) -> dict:
+        # Spans cross the process boundary as plain tuples: a Span's
+        # tracer slot would drag the shard's whole Tracer into the pickle.
+        state = dict(self.__dict__)
+        state["spans"] = span_records(self.spans)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["spans"] = spans_from_records(state["spans"])
+        self.__dict__.update(state)
 
 
 @dataclass
 class MergedCampaign:
-    """A sharded run's merged output — content-identical to a serial run.
+    """A sharded run's merged output — the same for every shard count,
+    spans aside from their ids and one ``campaign.run`` root per shard.
 
     ``raw_log`` is the union of the shard servers' query logs in
-    timestamp order; ``metrics`` is the shard registries merged with
-    campaign-global gauges restored; ``span_count`` sums the shards'
-    span tallies (span objects themselves never leave the workers).
+    timestamp order, attributed once into ``result.index`` with its drop
+    accounting in ``stats``; ``metrics`` is the shard registries merged
+    with campaign-global gauges restored; ``spans`` concatenates the
+    shards' spans in shard order, ids offset to stay unique.  A run
+    continued ``after`` an earlier one leads each of these with the
+    earlier run's, as one shared testbed would have logged them.
     """
 
     result: Union[NotifyEmailResult, ProbeCampaignResult]
     raw_log: List[QueryLogEntry]
+    stats: AttributionStats
+    keypair: RsaKeyPair
     synth_config: SynthConfig
     metrics: Optional[MetricsRegistry]
-    span_count: int
+    spans: List[Span]
     shards: int
     workers: int
-    #: False if any shard's span/query-log reconciliation failed;
-    #: None when reconciliation was not requested.
-    reconciled: Optional[bool] = None
     #: Probe campaigns only: the coordinator's pre-flight audits.
     preflight_audits: Dict[str, object] = field(default_factory=dict)
 
@@ -162,7 +180,12 @@ def run_shard(job: ShardJob) -> ShardResult:
         mta_filter = job.shard.mtaids
     faults = FaultPlan.parse(job.faults_spec, seed=job.faults_seed) if job.faults_spec else None
     testbed = Testbed(
-        job.universe, seed=job.testbed_seed, obs=obs, mta_filter=mta_filter, faults=faults
+        job.universe,
+        seed=job.testbed_seed,
+        obs=obs,
+        mta_filter=mta_filter,
+        faults=faults,
+        keypair=job.keypair,
     )
     result = ShardResult(index=job.shard.index)
     if job.campaign == _NOTIFY_CAMPAIGN:
@@ -187,31 +210,24 @@ def run_shard(job: ShardJob) -> ShardResult:
     result.raw_log = testbed.synth.query_log
     if job.obs_enabled:
         result.metrics = obs.metrics
-        result.span_count = len(obs.tracer.finished)
-        if job.reconcile:
-            from repro.obs.reconcile import reconcile_spans
-
-            verdict = reconcile_spans(
-                obs.tracer.finished, testbed.query_index(), testbed.synth_config
-            )
-            result.reconciled = verdict.matched
+        result.spans = obs.tracer.finished
     return result
 
 
-def _execute(jobs: List[ShardJob], workers: int, use_processes: bool) -> List[ShardResult]:
-    """Run every job, in shard order, with at most ``workers`` processes."""
-    if not jobs:
-        return []
-    if use_processes and workers > 1:
-        with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
-            return pool.map(run_shard, jobs)
-    return [run_shard(job) for job in jobs]
+def _execute(jobs: List[ShardJob], workers: int) -> List[ShardResult]:
+    """Run every job, in shard order: in-process with one worker, else
+    over a pool of at most ``workers`` processes."""
+    processes = min(workers, len(jobs))
+    if processes <= 1:
+        return [run_shard(job) for job in jobs]
+    with multiprocessing.Pool(processes=processes) as pool:
+        return pool.map(run_shard, jobs)
 
 
 def merge_raw_logs(shard_logs: Sequence[Sequence[QueryLogEntry]]) -> List[QueryLogEntry]:
     """The union of the shards' query logs in virtual-timestamp order.
 
-    A serial server's log is in *arrival* order, which only differs from
+    A server's log is in *arrival* order, which only differs from
     timestamp order for deferred work (post-delivery SPF checks); every
     consumer (``QueryIndex``, tracecheck, the trace dumps) orders by
     timestamp anyway, so the timestamp-sorted union is the canonical
@@ -226,42 +242,15 @@ def merge_raw_logs(shard_logs: Sequence[Sequence[QueryLogEntry]]) -> List[QueryL
     return merged
 
 
-def _merge_metrics(
-    shard_results: Sequence[ShardResult], obs_enabled: bool
-) -> Optional[MetricsRegistry]:
-    if not obs_enabled:
-        return None
-    return MetricsRegistry.merged(
-        shard.metrics for shard in shard_results if shard.metrics is not None
-    )
-
-
-def _merged_reconciliation(shard_results: Sequence[ShardResult]) -> Optional[bool]:
-    verdicts = [shard.reconciled for shard in shard_results if shard.reconciled is not None]
-    if not verdicts:
-        return None
-    return all(verdicts)
-
-
-def merge_shard_results(
+def _ordered_records(
     campaign: str,
     schedule: Union[Sequence[NotifyTask], Sequence[ProbeTask]],
     shard_results: Sequence[ShardResult],
-    synth_config: SynthConfig,
-    name: str = "",
-    obs_enabled: bool = True,
-) -> Tuple[Union[NotifyEmailResult, ProbeCampaignResult], List[QueryLogEntry], Optional[MetricsRegistry]]:
-    """Deterministic reduce: shard outputs → serial-identical objects.
-
-    Record lists are re-ordered to the coordinator's schedule (the order
-    the serial path would have produced them in), the raw logs merge by
-    timestamp, and the metrics registries merge with the campaign-global
-    gauges overwritten — shard workers each recorded their local slice
-    size, but the serial run records the global one.
-    """
-    raw_log = merge_raw_logs([shard.raw_log for shard in shard_results])
-    index = QueryIndex(attribute_queries(raw_log, synth_config))
-    metrics = _merge_metrics(shard_results, obs_enabled)
+    index: QueryIndex,
+    name: str,
+) -> Union[NotifyEmailResult, ProbeCampaignResult]:
+    """The shards' records re-ordered to the coordinator's schedule —
+    the order a one-shard run produces them in."""
     if campaign == _NOTIFY_CAMPAIGN:
         by_domain: Dict[str, NotifyDelivery] = {}
         for shard in shard_results:
@@ -272,9 +261,7 @@ def merge_shard_results(
             for task in schedule
             if task.domain.domainid in by_domain
         ]
-        if metrics is not None:
-            metrics.gauge("campaign_domains", len(deliveries), (("campaign", "notifyemail"),))
-        return NotifyEmailResult(deliveries, index), raw_log, metrics
+        return NotifyEmailResult(deliveries, index)
     by_pair: Dict[Tuple[str, str], ProbeResult] = {}
     for shard in shard_results:
         for probe in shard.probe_results:
@@ -289,16 +276,94 @@ def merge_shard_results(
             probe = by_pair.get((task.host.mtaid, testid))
             if probe is not None:
                 results.append(probe)
-    if metrics is not None:
-        metrics.gauge("campaign_eligible_mtas", len(schedule), (("campaign", name),))
-    merged = ProbeCampaignResult(
-        name=name,
-        results=results,
-        index=index,
-        probed=probed,
-        recipient_domain=recipients,
+    return ProbeCampaignResult(
+        name=name, results=results, index=index, probed=probed, recipient_domain=recipients
     )
-    return merged, raw_log, metrics
+
+
+def _run_sharded(
+    campaign: str,
+    universe: Universe,
+    schedule: Union[List[NotifyTask], List[ProbeTask]],
+    shards: Optional[int],
+    workers: Optional[int],
+    testbed_seed: int,
+    obs: bool,
+    after: Optional[MergedCampaign],
+    **params,
+) -> MergedCampaign:
+    """Partition, execute, and deterministically reduce one campaign.
+
+    The reduce re-orders records to ``schedule``, merges the raw logs by
+    timestamp and attributes them once, merges the metrics registries
+    with the campaign-global gauge overwritten (each shard recorded its
+    local slice size), and concatenates the spans.  ``after`` leads the
+    raw log, metrics and spans and lends its key pair."""
+    workers = workers if workers is not None else default_workers()
+    shards = shards if shards is not None else max(1, workers)
+    if after is not None:
+        keypair, synth_config = after.keypair, after.synth_config
+    else:
+        keypair, synth_config = make_synth_config(testbed_seed)
+    partition = partition_universe(universe, shards)
+    owner: Dict[str, int] = {}
+    slices: Dict[int, list] = {}
+    for shard in partition:
+        slices[shard.index] = []
+        for key in shard.domainids if campaign == _NOTIFY_CAMPAIGN else shard.mtaids:
+            owner[key] = shard.index
+    for task in schedule:
+        key = task.domain.domainid if campaign == _NOTIFY_CAMPAIGN else task.host.mtaid
+        slices[owner[key]].append(task)
+    jobs = [
+        ShardJob(
+            campaign=campaign,
+            shard=shard,
+            universe=universe,
+            tasks=slices[shard.index],
+            testbed_seed=testbed_seed,
+            keypair=keypair,
+            obs_enabled=obs,
+            **params,
+        )
+        for shard in partition
+        if slices[shard.index]
+    ]
+    shard_results = _execute(jobs, workers)
+
+    raw_logs = [shard.raw_log for shard in shard_results]
+    registries = [shard.metrics for shard in shard_results]
+    span_parts = [shard.spans for shard in shard_results]
+    if after is not None:
+        raw_logs.insert(0, after.raw_log)
+        registries.insert(0, after.metrics)
+        span_parts.insert(0, after.spans)
+    raw_log = merge_raw_logs(raw_logs)
+    attributed, stats = attribute_queries_with_stats(raw_log, synth_config)
+    name = params.get("name", "")
+    result = _ordered_records(campaign, schedule, shard_results, QueryIndex(attributed), name)
+    metrics: Optional[MetricsRegistry] = None
+    spans: List[Span] = []
+    if obs:
+        metrics = MetricsRegistry.merged(r for r in registries if r is not None)
+        if isinstance(result, NotifyEmailResult):
+            metrics.gauge(
+                "campaign_domains", len(result.deliveries), (("campaign", "notifyemail"),)
+            )
+        else:
+            metrics.gauge("campaign_eligible_mtas", len(schedule), (("campaign", name),))
+        spans = concat_spans(span_parts)
+    return MergedCampaign(
+        result=result,
+        raw_log=raw_log,
+        stats=stats,
+        keypair=keypair,
+        synth_config=synth_config,
+        metrics=metrics,
+        spans=spans,
+        shards=shards,
+        workers=workers,
+    )
 
 
 def run_notify_sharded(
@@ -309,61 +374,30 @@ def run_notify_sharded(
     spacing: float = 2.0,
     start_time: float = 0.0,
     obs: bool = True,
-    reconcile: bool = False,
-    use_processes: bool = True,
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
-    """The NotifyEmail campaign, sharded K ways over worker processes.
+    """The NotifyEmail campaign, sharded K ways (K = ``workers`` unless
+    given).
 
-    Produces deliveries, an attributed query index, and metrics
+    Produces deliveries, an attributed query index, metrics and spans
     content-identical to ``NotifyEmailCampaign(Testbed(universe,
     seed=testbed_seed)).run()``.
     """
-    workers = workers if workers is not None else default_workers()
-    shards = shards if shards is not None else max(1, workers)
-    _, synth_config = make_synth_config(testbed_seed)
     schedule = notify_schedule(universe.domains, spacing=spacing, start_time=start_time)
-    slices: Dict[int, List[NotifyTask]] = {}
-    partition = partition_universe(universe, shards)
-    for shard in partition:
-        slices[shard.index] = []
-    lookup = {}
-    for shard in partition:
-        for domainid in shard.domainids:
-            lookup[domainid] = shard.index
-    for task in schedule:
-        slices[lookup[task.domain.domainid]].append(task)
-    jobs = [
-        ShardJob(
-            campaign=_NOTIFY_CAMPAIGN,
-            shard=shard,
-            universe=universe,
-            tasks=slices[shard.index],
-            testbed_seed=testbed_seed,
-            obs_enabled=obs,
-            reconcile=reconcile,
-            spacing=spacing,
-            start_time=start_time,
-            faults_spec=faults_spec,
-            faults_seed=faults_seed,
-        )
-        for shard in partition
-        if slices[shard.index]
-    ]
-    shard_results = _execute(jobs, workers, use_processes)
-    result, raw_log, metrics = merge_shard_results(
-        _NOTIFY_CAMPAIGN, schedule, shard_results, synth_config, obs_enabled=obs
-    )
-    return MergedCampaign(
-        result=result,
-        raw_log=raw_log,
-        synth_config=synth_config,
-        metrics=metrics,
-        span_count=sum(shard.span_count for shard in shard_results),
-        shards=shards,
-        workers=workers,
-        reconciled=_merged_reconciliation(shard_results),
+    return _run_sharded(
+        _NOTIFY_CAMPAIGN,
+        universe,
+        schedule,
+        shards,
+        workers,
+        testbed_seed,
+        obs,
+        after=None,
+        spacing=spacing,
+        start_time=start_time,
+        faults_spec=faults_spec,
+        faults_seed=faults_seed,
     )
 
 
@@ -380,26 +414,26 @@ def run_probe_sharded(
     start_time: float = 0.0,
     preflight: bool = True,
     obs: bool = True,
-    reconcile: bool = False,
-    use_processes: bool = True,
     faults_spec: str = "",
     faults_seed: int = 0,
+    after: Optional[MergedCampaign] = None,
 ) -> MergedCampaign:
     """The probe campaign (NotifyMX / TwoWeekMX), sharded K ways.
 
-    Produces results, an attributed query index, and metrics
+    Produces results, an attributed query index, metrics and spans
     content-identical to ``ProbeCampaign(Testbed(universe,
-    seed=testbed_seed), name, seed=campaign_seed, ...).run()``.
+    seed=testbed_seed), name, seed=campaign_seed, ...).run()``.  Pass
+    ``after`` (an earlier run with the same ``testbed_seed``) to continue
+    its testbed: the query index, raw log, metrics and spans then cover
+    both runs, as NotifyMX's do after NotifyEmail, while the records
+    remain this campaign's alone.
     """
-    workers = workers if workers is not None else default_workers()
-    shards = shards if shards is not None else max(1, workers)
     testid_list = tuple(testids) if testids is not None else tuple(p.testid for p in POLICIES)
     audits = (
         preflight_policies(policy_by_id(testid) for testid in testid_list)
         if preflight
         else {}
     )
-    _, synth_config = make_synth_config(testbed_seed)
     schedule = probe_schedule(
         universe,
         testid_list,
@@ -407,47 +441,23 @@ def run_probe_sharded(
         stagger=stagger,
         start_time=start_time,
     )
-    partition = partition_universe(universe, shards)
-    slices: Dict[int, List[ProbeTask]] = {shard.index: [] for shard in partition}
-    lookup = {}
-    for shard in partition:
-        for mtaid in shard.mtaids:
-            lookup[mtaid] = shard.index
-    for task in schedule:
-        slices[lookup[task.host.mtaid]].append(task)
-    jobs = [
-        ShardJob(
-            campaign=_PROBE_CAMPAIGN,
-            shard=shard,
-            universe=universe,
-            tasks=slices[shard.index],
-            testbed_seed=testbed_seed,
-            obs_enabled=obs,
-            reconcile=reconcile,
-            name=name,
-            testids=testid_list,
-            campaign_seed=campaign_seed,
-            sleep_seconds=sleep_seconds,
-            stagger=stagger,
-            start_time=start_time,
-            faults_spec=faults_spec,
-            faults_seed=faults_seed,
-        )
-        for shard in partition
-        if slices[shard.index]
-    ]
-    shard_results = _execute(jobs, workers, use_processes)
-    result, raw_log, metrics = merge_shard_results(
-        _PROBE_CAMPAIGN, schedule, shard_results, synth_config, name=name, obs_enabled=obs
+    merged = _run_sharded(
+        _PROBE_CAMPAIGN,
+        universe,
+        schedule,
+        shards,
+        workers,
+        testbed_seed,
+        obs,
+        after=after,
+        name=name,
+        testids=testid_list,
+        campaign_seed=campaign_seed,
+        sleep_seconds=sleep_seconds,
+        stagger=stagger,
+        start_time=start_time,
+        faults_spec=faults_spec,
+        faults_seed=faults_seed,
     )
-    return MergedCampaign(
-        result=result,
-        raw_log=raw_log,
-        synth_config=synth_config,
-        metrics=metrics,
-        span_count=sum(shard.span_count for shard in shard_results),
-        shards=shards,
-        workers=workers,
-        reconciled=_merged_reconciliation(shard_results),
-        preflight_audits=audits,
-    )
+    merged.preflight_audits = audits
+    return merged

@@ -13,19 +13,19 @@ Artefacts per experiment: ``<name>_report.txt`` (every applicable table),
 via :mod:`repro.core.trace`), ``<name>_tracecheck.txt`` — the post-flight
 differential conformance pass (:mod:`repro.lint.tracecheck`) — and the
 observability pair ``<name>_metrics.txt`` / ``<name>_spans.jsonl``
-(:mod:`repro.obs`; suppressed by ``--no-obs``).  Because ``notifyemail``
-and ``notifymx`` share one testbed, the NotifyMX observability artefacts
-are cumulative over both campaigns; see ``OBSERVABILITY.md``.
+(:mod:`repro.obs`; suppressed by ``--no-obs``).  NotifyMX probes the
+NotifyEmail fleet on the same testbed seed, continuing NotifyEmail's
+run, so the NotifyMX query trace, tracecheck and observability
+artefacts are cumulative over both campaigns; see ``OBSERVABILITY.md``.
 
-``--workers N`` (default: one per CPU) runs each campaign sharded over N
-worker processes via :mod:`repro.core.parallel`; ``--workers 1`` is the
-classic serial path.  The merge layer is deterministic, so every report,
+Every campaign runs through the sharded engine of
+:mod:`repro.core.parallel`; ``--workers N`` (default: one per CPU) sets
+the shard and process count, and ``--workers 1`` is its one-shard case,
+run in-process.  The merge layer is deterministic, so every report,
 trace, tracecheck, and metrics artefact is identical whichever worker
-count produced it.  The one exception is ``<name>_spans.jsonl``: span
-*objects* stay inside the worker processes (each shard has its own
-``campaign.run`` root span), so parallel runs skip the span dump and
-instead reconcile spans against the query log per shard, inside each
-worker.
+count produced it.  The span dump is written at every worker count; its
+content is the same too, apart from span ids and one ``campaign.run``
+root per shard.
 
 ``--faults SPEC`` threads a deterministic fault-injection plan
 (:mod:`repro.net.faults`) through every layer of the testbed; the plan's
@@ -47,36 +47,29 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core import analysis as A
 from repro.core import trace
 from repro.core.campaign import (
-    NotifyEmailCampaign,
     NotifyEmailResult,
-    ProbeCampaign,
     ProbeCampaignResult,
-    Testbed,
     apply_reputation_effects,
 )
 from repro.core.datasets import DatasetSpec, Universe, generate_universe
 from repro.core.fingerprint import fingerprint_fleet
 from repro.core.parallel import (
+    MergedCampaign,
     default_workers,
-    merge_raw_logs,
     run_notify_sharded,
     run_probe_sharded,
 )
 from repro.core.faultmatrix import FAULT_SCENARIOS, run_fault_matrix
-from repro.core.querylog import QueryIndex, attribute_queries_with_stats
 from repro.core.report import render_histogram
-from repro.core.synth import SynthConfig
-from repro.dns.server import QueryLogEntry
 from repro.lint.tracecheck import check_index
-from repro.net.faults import FaultPlan, derive_fault_seed
-from repro.obs import NULL_OBS, ProgressSink
+from repro.net.faults import derive_fault_seed
+from repro.obs import ProgressSink
 from repro.obs.export import render_metrics_text
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.reconcile import reconcile_spans
 from repro.obs.spans import save_spans
 
@@ -109,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=default_workers(),
         help="worker processes for sharded campaign execution "
-        "(default: one per CPU; 1 = serial)",
+        "(default: one per CPU; 1 = one shard, in-process)",
     )
     parser.add_argument(
         "--faults",
@@ -140,41 +133,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _make_faults(args) -> Optional[FaultPlan]:
-    """The run's fault plan, or ``None`` when ``--faults`` was absent.
+def _campaign_params(args) -> dict:
+    """Keywords every sharded campaign run shares: worker count, the obs
+    switch, and the fault plan as its ``(spec, seed)`` strings.
 
     The plan seed is derived from the master seed, so ``--seed`` stays
-    the single reproducibility knob; every worker process re-derives the
-    identical value from the same two strings."""
-    if args.faults is None:
-        return None
-    return FaultPlan.parse(args.faults, seed=derive_fault_seed(args.faults, args.seed))
-
-
-def _fault_shard_params(args) -> dict:
-    """``faults_spec``/``faults_seed`` keywords for the sharded runners.
-
-    The plan crosses the process boundary as two strings; each worker
-    rebuilds an identical plan, and the pure per-event hash draws make
-    its decisions match the serial path exactly."""
-    if not args.faults:
-        return {"faults_spec": "", "faults_seed": 0}
+    the single reproducibility knob; each shard rebuilds an identical
+    plan from the two strings, and the pure per-event hash draws make
+    its decisions independent of the shard count."""
     return {
-        "faults_spec": args.faults,
-        "faults_seed": derive_fault_seed(args.faults, args.seed),
+        "workers": args.workers,
+        "obs": not args.no_obs,
+        "faults_spec": args.faults or "",
+        "faults_seed": derive_fault_seed(args.faults, args.seed) if args.faults else 0,
     }
 
 
-def _make_testbed(args, universe, seed: int) -> Testbed:
-    return Testbed(
-        universe,
-        seed=seed,
-        obs=NULL_OBS if args.no_obs else None,
-        faults=_make_faults(args),
-    )
-
-
-# -- report section builders (shared by the serial and sharded paths) ----
+# -- report section builders ----------------------------------------------
 
 
 def _notifyemail_sections(universe: Universe, result: NotifyEmailResult) -> List[str]:
@@ -230,144 +205,47 @@ def _twoweekmx_sections(universe: Universe, result: ProbeCampaignResult) -> List
 def _run_notify_family(args, wanted, sink: ProgressSink) -> None:
     sink.say("generating NotifyEmail universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.notify_email(scale=args.scale), seed=args.seed)
-    if args.workers > 1:
-        _run_notify_family_sharded(args, wanted, sink, universe)
-        return
-    testbed = _make_testbed(args, universe, seed=args.seed + 1)
+    params = _campaign_params(args)
+    email: Optional[MergedCampaign] = None
 
     if "notifyemail" in wanted:
         sink.say("running NotifyEmail: one signed notification per domain ...")
-        result = NotifyEmailCampaign(testbed).run()
-        _write(args.out / "notifyemail_report.txt", _notifyemail_sections(universe, result))
-        trace.save_query_log(result.index.queries, args.out / "notifyemail_queries.jsonl")
-        _postflight(
-            testbed.synth.query_log, testbed.synth_config,
-            args.out / "notifyemail_tracecheck.txt", sink,
+        email = run_notify_sharded(universe, testbed_seed=args.seed + 1, **params)
+        assert isinstance(email.result, NotifyEmailResult)
+        _write_artefacts(
+            args.out, "notifyemail", email, _notifyemail_sections(universe, email.result), sink
         )
-        _write_obs(testbed, args.out, "notifyemail", sink)
-        sink.say("  -> %s" % (args.out / "notifyemail_report.txt"))
 
     if "notifymx" in wanted:
         sink.say("running NotifyMX: probing the same MTAs with soured reputation ...")
         apply_reputation_effects(universe, seed=args.seed + 2)
-        probe_result = ProbeCampaign(testbed, "NotifyMX", start_time=1e7, seed=args.seed).run()
-        _write(args.out / "notifymx_report.txt", _notifymx_sections(universe, probe_result))
-        trace.save_query_log(probe_result.index.queries, args.out / "notifymx_queries.jsonl")
-        trace.save_probe_results(probe_result.results, args.out / "notifymx_probes.jsonl")
-        _postflight(
-            testbed.synth.query_log, testbed.synth_config,
-            args.out / "notifymx_tracecheck.txt", sink,
-        )
-        _write_obs(testbed, args.out, "notifymx", sink)
-        sink.say("  -> %s" % (args.out / "notifymx_report.txt"))
-
-
-def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Universe) -> None:
-    """The notify family over worker processes.
-
-    Mirrors the serial path's cumulative-testbed semantics: the NotifyMX
-    artefacts (query trace, tracecheck, metrics) cover the union of both
-    campaigns' traffic, exactly as one shared testbed would have logged.
-    """
-    obs_enabled = not args.no_obs
-    notify_raw: List[QueryLogEntry] = []
-    notify_metrics: Optional[MetricsRegistry] = None
-
-    if "notifyemail" in wanted:
-        sink.say("running NotifyEmail over %d workers ..." % args.workers)
-        merged = run_notify_sharded(
-            universe,
-            workers=args.workers,
-            testbed_seed=args.seed + 1,
-            obs=obs_enabled,
-            reconcile=obs_enabled,
-            **_fault_shard_params(args),
-        )
-        notify_raw = merged.raw_log
-        notify_metrics = merged.metrics
-        result = merged.result
-        assert isinstance(result, NotifyEmailResult)
-        _write(args.out / "notifyemail_report.txt", _notifyemail_sections(universe, result))
-        trace.save_query_log(result.index.queries, args.out / "notifyemail_queries.jsonl")
-        _postflight(
-            merged.raw_log, merged.synth_config,
-            args.out / "notifyemail_tracecheck.txt", sink,
-        )
-        _write_obs_merged(merged.metrics, merged.reconciled, args.out, "notifyemail", sink)
-        sink.say("  -> %s" % (args.out / "notifyemail_report.txt"))
-
-    if "notifymx" in wanted:
-        sink.say("running NotifyMX over %d workers ..." % args.workers)
-        apply_reputation_effects(universe, seed=args.seed + 2)
-        merged = run_probe_sharded(
+        notifymx = run_probe_sharded(
             universe,
             "NotifyMX",
-            workers=args.workers,
             testbed_seed=args.seed + 1,
             campaign_seed=args.seed,
             start_time=1e7,
-            obs=obs_enabled,
-            reconcile=obs_enabled,
-            **_fault_shard_params(args),
+            after=email,
+            **params,
         )
-        probe_result = merged.result
-        assert isinstance(probe_result, ProbeCampaignResult)
-        # The serial path's NotifyMX artefacts are cumulative over the
-        # shared testbed; reproduce that from the phases' merged logs.
-        cumulative_raw = merge_raw_logs([notify_raw, merged.raw_log])
-        probe_result.index = _attributed_index(cumulative_raw, merged.synth_config)
-        cumulative_metrics = merged.metrics
-        if obs_enabled and notify_metrics is not None and merged.metrics is not None:
-            cumulative_metrics = MetricsRegistry.merged([notify_metrics, merged.metrics])
-        _write(args.out / "notifymx_report.txt", _notifymx_sections(universe, probe_result))
-        trace.save_query_log(probe_result.index.queries, args.out / "notifymx_queries.jsonl")
-        trace.save_probe_results(probe_result.results, args.out / "notifymx_probes.jsonl")
-        _postflight(
-            cumulative_raw, merged.synth_config, args.out / "notifymx_tracecheck.txt", sink
+        assert isinstance(notifymx.result, ProbeCampaignResult)
+        _write_artefacts(
+            args.out, "notifymx", notifymx, _notifymx_sections(universe, notifymx.result), sink
         )
-        _write_obs_merged(cumulative_metrics, merged.reconciled, args.out, "notifymx", sink)
-        sink.say("  -> %s" % (args.out / "notifymx_report.txt"))
 
 
 def _run_twoweekmx(args, sink: ProgressSink) -> None:
     sink.say("generating TwoWeekMX universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.two_week_mx(scale=args.scale), seed=args.seed + 3)
-    if args.workers > 1:
-        sink.say("running TwoWeekMX probe campaign over %d workers ..." % args.workers)
-        obs_enabled = not args.no_obs
-        merged = run_probe_sharded(
-            universe,
-            "TwoWeekMX",
-            workers=args.workers,
-            testbed_seed=args.seed + 4,
-            campaign_seed=args.seed,
-            obs=obs_enabled,
-            reconcile=obs_enabled,
-            **_fault_shard_params(args),
-        )
-        result = merged.result
-        assert isinstance(result, ProbeCampaignResult)
-        _write(args.out / "twoweekmx_report.txt", _twoweekmx_sections(universe, result))
-        trace.save_query_log(result.index.queries, args.out / "twoweekmx_queries.jsonl")
-        trace.save_probe_results(result.results, args.out / "twoweekmx_probes.jsonl")
-        _postflight(
-            merged.raw_log, merged.synth_config, args.out / "twoweekmx_tracecheck.txt", sink
-        )
-        _write_obs_merged(merged.metrics, merged.reconciled, args.out, "twoweekmx", sink)
-        sink.say("  -> %s" % (args.out / "twoweekmx_report.txt"))
-        return
-    testbed = _make_testbed(args, universe, seed=args.seed + 4)
     sink.say("running TwoWeekMX probe campaign ...")
-    result = ProbeCampaign(testbed, "TwoWeekMX", seed=args.seed).run()
-    _write(args.out / "twoweekmx_report.txt", _twoweekmx_sections(universe, result))
-    trace.save_query_log(result.index.queries, args.out / "twoweekmx_queries.jsonl")
-    trace.save_probe_results(result.results, args.out / "twoweekmx_probes.jsonl")
-    _postflight(
-        testbed.synth.query_log, testbed.synth_config,
-        args.out / "twoweekmx_tracecheck.txt", sink,
+    merged = run_probe_sharded(
+        universe, "TwoWeekMX", testbed_seed=args.seed + 4, campaign_seed=args.seed,
+        **_campaign_params(args),
     )
-    _write_obs(testbed, args.out, "twoweekmx", sink)
-    sink.say("  -> %s" % (args.out / "twoweekmx_report.txt"))
+    assert isinstance(merged.result, ProbeCampaignResult)
+    _write_artefacts(
+        args.out, "twoweekmx", merged, _twoweekmx_sections(universe, merged.result), sink
+    )
 
 
 def _run_faultmatrix(args, sink: ProgressSink) -> None:
@@ -383,19 +261,24 @@ def _run_faultmatrix(args, sink: ProgressSink) -> None:
     sink.say("  -> %s" % (args.out / "faultmatrix_report.txt"))
 
 
-def _attributed_index(entries: Sequence[QueryLogEntry], config: SynthConfig) -> QueryIndex:
-    attributed, _ = attribute_queries_with_stats(entries, config)
-    return QueryIndex(attributed)
-
-
-def _postflight(
-    entries: Sequence[QueryLogEntry], config: SynthConfig, path: Path, sink: ProgressSink
+def _write_artefacts(
+    out: Path, name: str, merged: MergedCampaign, sections: List[str], sink: ProgressSink
 ) -> None:
-    """Diff a raw query log against the policy footprints; the written
-    report is an artefact like any other.  Serial callers pass the
-    testbed's cumulative log, sharded callers the merged one."""
-    attributed, stats = attribute_queries_with_stats(entries, config)
-    result = check_index(QueryIndex(attributed), config=config, stats=stats)
+    """Write one experiment's report, traces, tracecheck and obs pair."""
+    report_path = out / ("%s_report.txt" % name)
+    _write(report_path, sections)
+    trace.save_query_log(merged.result.index.queries, out / ("%s_queries.jsonl" % name))
+    if isinstance(merged.result, ProbeCampaignResult):
+        trace.save_probe_results(merged.result.results, out / ("%s_probes.jsonl" % name))
+    _postflight(merged, out / ("%s_tracecheck.txt" % name), sink)
+    _write_obs(merged, out, name, sink)
+    sink.say("  -> %s" % report_path)
+
+
+def _postflight(merged: MergedCampaign, path: Path, sink: ProgressSink) -> None:
+    """Diff the merged query log against the policy footprints; the
+    written report is an artefact like any other."""
+    result = check_index(merged.result.index, config=merged.synth_config, stats=merged.stats)
     header = "tracecheck: %d queries over %d (mtaid, testid) pairs" % (
         result.queries_checked,
         result.pairs_checked,
@@ -406,47 +289,21 @@ def _postflight(
                   % (len(result.report.diagnostics), path))
 
 
-def _write_obs(testbed: Testbed, out: Path, name: str, sink: ProgressSink) -> None:
-    """Export the testbed's cumulative metrics and spans (no-op under
-    ``--no-obs``), then reconcile spans against the attributed query log
-    as a second, independent witness of what the campaign did."""
-    obs = testbed.obs
-    if not obs.enabled:
+def _write_obs(merged: MergedCampaign, out: Path, name: str, sink: ProgressSink) -> None:
+    """Export the merged metrics and spans (no-op under ``--no-obs``),
+    then reconcile the spans against the attributed query log as a
+    second, independent witness of what the campaign did."""
+    if merged.metrics is None:
         return
     metrics_path = out / ("%s_metrics.txt" % name)
-    _write(metrics_path, [render_metrics_text(obs.metrics, header="%s metrics" % name)])
+    _write(metrics_path, [render_metrics_text(merged.metrics, header="%s metrics" % name)])
     spans_path = out / ("%s_spans.jsonl" % name)
-    count = save_spans(obs.tracer.finished, spans_path)
+    count = save_spans(merged.spans, spans_path)
     sink.say("  -> %s (%d series), %s (%d spans)"
-             % (metrics_path, len(obs.metrics), spans_path, count))
-    verdict = reconcile_spans(obs.tracer.finished, testbed.query_index(), testbed.synth_config)
+             % (metrics_path, len(merged.metrics), spans_path, count))
+    verdict = reconcile_spans(merged.spans, merged.result.index, merged.synth_config)
     if not verdict.matched:
         sink.warn("  !! span/query-log reconciliation mismatch:\n%s" % verdict.render_text())
-
-
-def _write_obs_merged(
-    metrics: Optional[MetricsRegistry],
-    reconciled: Optional[bool],
-    out: Path,
-    name: str,
-    sink: ProgressSink,
-) -> None:
-    """Export a sharded run's merged metrics (no-op under ``--no-obs``).
-
-    Span objects never left the worker processes, so there is no
-    ``<name>_spans.jsonl`` here; each worker instead reconciled its own
-    spans against its own query log, and ``reconciled`` reports the
-    conjunction of those per-shard verdicts."""
-    if metrics is None:
-        return
-    metrics_path = out / ("%s_metrics.txt" % name)
-    _write(metrics_path, [render_metrics_text(metrics, header="%s metrics" % name)])
-    sink.say(
-        "  -> %s (%d series); spans reconciled per shard, no span dump"
-        % (metrics_path, len(metrics))
-    )
-    if reconciled is False:
-        sink.warn("  !! span/query-log reconciliation mismatch in at least one shard")
 
 
 def _write(path: Path, sections: List[str]) -> None:

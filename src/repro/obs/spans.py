@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 SPAN_FORMAT = "repro-spans"
 SPAN_FORMAT_VERSION = 1
@@ -232,6 +232,51 @@ def _attr_json(value: object) -> object:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
+
+
+#: A finished span as a plain tuple: ``(span_id, parent_id, name,
+#: t_start, t_end, attrs)``.  Spans cross process boundaries in this
+#: form, because a :class:`Span`'s tracer slot would drag the whole
+#: :class:`Tracer` into the pickle.
+SpanRecord = Tuple[int, Optional[int], str, float, Optional[float], Dict[str, object]]
+
+
+def span_records(spans: Iterable[Span]) -> List[SpanRecord]:
+    """Finished spans as picklable :data:`SpanRecord` tuples."""
+    return [
+        (span.span_id, span.parent_id, span.name, span.t_start, span.t_end, span.attrs)
+        for span in spans
+    ]
+
+
+def spans_from_records(records: Iterable[SpanRecord]) -> List[Span]:
+    """Finished, tracer-free spans rebuilt from :data:`SpanRecord` tuples."""
+    spans: List[Span] = []
+    for span_id, parent_id, name, t_start, t_end, attrs in records:
+        span = Span(name, t_start, span_id, parent_id, attrs)
+        span.t_end = t_end
+        spans.append(span)
+    return spans
+
+
+def concat_spans(parts: Iterable[List[Span]]) -> List[Span]:
+    """One span list from several independently numbered parts.
+
+    Parts keep their order.  Each part after the first has its span and
+    parent ids offset, in place, by the largest id of the parts before
+    it, so ids stay unique and every parent link stays inside its own
+    part; the first part is left untouched."""
+    spans: List[Span] = []
+    offset = 0
+    for part in parts:
+        if offset:
+            for span in part:
+                span.span_id += offset
+                if span.parent_id is not None:
+                    span.parent_id += offset
+        spans.extend(part)
+        offset = max((span.span_id for span in part), default=offset)
+    return spans
 
 
 def save_spans(spans: Iterable[Span], path: Union[str, Path]) -> int:

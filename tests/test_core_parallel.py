@@ -2,18 +2,28 @@
 
 The load-bearing property is *differential*: for K ∈ {1, 2, 4} a sharded
 run must produce the same attributed-query multiset, the same analysis
-tables, the same metrics, and the same tracecheck verdict as the serial
-path.  Everything else (partition stability, merge algebra) supports
-that headline guarantee.
+tables, the same metrics, the same spans, and the same tracecheck
+verdict as one campaign on one testbed.  Everything else (partition
+stability, merge algebra) supports that headline guarantee.
 """
 
+import json
 import math
+import pickle
 from collections import Counter
 
 import pytest
 
 from repro.core import analysis as A
-from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed, probe_schedule
+from repro.core import parallel
+from repro.core.campaign import (
+    NotifyEmailCampaign,
+    ProbeCampaign,
+    Testbed,
+    make_synth_config,
+    notify_schedule,
+    probe_schedule,
+)
 from repro.core.datasets import (
     DatasetSpec,
     generate_universe,
@@ -22,14 +32,18 @@ from repro.core.datasets import (
     stable_hash64,
 )
 from repro.core.parallel import (
+    ShardJob,
     merge_raw_logs,
     run_notify_sharded,
     run_probe_sharded,
+    run_shard,
 )
 from repro.core.querylog import QueryIndex
 from repro.lint.tracecheck import check_index
 from repro.obs import Observability
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.reconcile import reconcile_spans
+from repro.obs.spans import span_records
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +82,25 @@ def query_key(query):
         query.mtaid,
         query.testid,
     )
+
+
+def span_multiset(spans):
+    """(name, t0, t1, attrs) of every span below the per-shard roots.
+
+    Span ids depend on how the schedule was split, and every shard opens
+    its own ``campaign.run`` root; everything else must not."""
+    return Counter(
+        (span.name, span.t_start, span.t_end, json.dumps(span.attrs, sort_keys=True, default=str))
+        for span in spans
+        if span.name != "campaign.run"
+    )
+
+
+def assert_span_ids_consistent(spans):
+    ids = [span.span_id for span in spans]
+    assert len(set(ids)) == len(ids)
+    known = set(ids)
+    assert all(span.parent_id is None or span.parent_id in known for span in spans)
 
 
 class TestPartition:
@@ -189,12 +222,15 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_notify_campaign(self, universe, serial_notify, shards):
         serial, _, obs = serial_notify
-        merged = run_notify_sharded(
-            universe, shards=shards, workers=1, testbed_seed=3, use_processes=False
-        )
+        merged = run_notify_sharded(universe, shards=shards, workers=1, testbed_seed=3)
         assert Counter(map(query_key, merged.result.index.queries)) == Counter(
             map(query_key, serial.index.queries)
         )
+        assert span_multiset(merged.spans) == span_multiset(obs.tracer.finished)
+        assert_span_ids_consistent(merged.spans)
+        roots = [span for span in merged.spans if span.name == "campaign.run"]
+        assert 1 <= len(roots) <= shards
+        assert sum(root.attrs["domains"] for root in roots) == len(serial.deliveries)
         assert [d.domain.domainid for d in merged.result.deliveries] == [
             d.domain.domainid for d in serial.deliveries
         ]
@@ -224,11 +260,15 @@ class TestDifferentialEquivalence:
             testbed_seed=3,
             campaign_seed=5,
             start_time=1e7,
-            use_processes=False,
         )
         assert Counter(map(query_key, merged.result.index.queries)) == Counter(
             map(query_key, serial.index.queries)
         )
+        assert span_multiset(merged.spans) == span_multiset(obs.tracer.finished)
+        assert_span_ids_consistent(merged.spans)
+        roots = [span for span in merged.spans if span.name == "campaign.run"]
+        assert 1 <= len(roots) <= shards
+        assert sum(root.attrs["probes"] for root in roots) == len(serial.results)
         assert [
             (r.mtaid, r.testid, r.stage_reached, r.t_started, r.t_finished)
             for r in merged.result.results
@@ -254,7 +294,6 @@ class TestDifferentialEquivalence:
             testbed_seed=3,
             campaign_seed=5,
             start_time=1e7,
-            use_processes=False,
         )
         serial_check = check_index(serial.index, config=testbed.synth_config)
         merged_check = check_index(merged.result.index, config=merged.synth_config)
@@ -275,17 +314,18 @@ class TestDifferentialEquivalence:
 class TestRealProcesses:
     def test_multiprocessing_smoke(self, universe, serial_notify):
         """One true-multiprocessing case: pickling, pool dispatch, and
-        the merge all behave identically to the inline path."""
-        serial, _, _ = serial_notify
-        merged = run_notify_sharded(
-            universe, shards=2, workers=2, testbed_seed=3, use_processes=True
-        )
+        the merge all behave identically to the inline path, spans
+        included."""
+        serial, _, obs = serial_notify
+        merged = run_notify_sharded(universe, shards=2, workers=2, testbed_seed=3)
         assert Counter(map(query_key, merged.result.index.queries)) == Counter(
             map(query_key, serial.index.queries)
         )
-        assert merged.span_count > 0
+        assert span_multiset(merged.spans) == span_multiset(obs.tracer.finished)
+        verdict = reconcile_spans(merged.spans, merged.result.index, merged.synth_config)
+        assert verdict.matched, verdict.render_text()
 
-    def test_per_shard_reconciliation(self, universe):
+    def test_coordinator_reconciles_merged_spans(self, universe):
         merged = run_probe_sharded(
             universe,
             "notifymx",
@@ -295,10 +335,34 @@ class TestRealProcesses:
             testbed_seed=3,
             campaign_seed=5,
             start_time=1e7,
-            reconcile=True,
-            use_processes=False,
         )
-        assert merged.reconciled is True
+        assert len([s for s in merged.spans if s.name == "campaign.run"]) == 2
+        verdict = reconcile_spans(merged.spans, merged.result.index, merged.synth_config)
+        assert verdict.matched, verdict.render_text()
+        assert sum(verdict.span_counts.values()) > 0
+
+    def test_pickled_shard_result_carries_no_tracer(self, universe):
+        shard = partition_universe(universe, 2)[0]
+        tasks = [
+            task for task in notify_schedule(universe.domains)
+            if task.domain.domainid in shard.domainids
+        ]
+        keypair, _ = make_synth_config(3)
+        result = run_shard(
+            ShardJob(
+                campaign=parallel._NOTIFY_CAMPAIGN,
+                shard=shard,
+                universe=universe,
+                tasks=tasks,
+                testbed_seed=3,
+                keypair=keypair,
+            )
+        )
+        assert result.spans
+        data = pickle.dumps(result)
+        assert b"Tracer" not in data
+        assert b"Span" not in data
+        assert span_records(pickle.loads(data).spans) == span_records(result.spans)
 
 
 class TestMergeRawLogs:

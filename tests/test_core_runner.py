@@ -71,6 +71,31 @@ class TestRunner:
         assert a == b
 
 
+class TestKeyGeneration:
+    def test_one_key_pair_per_testbed_seed(self, tmp_path, monkeypatch):
+        """The coordinator generates each testbed seed's DKIM key pair
+        once and hands it to every shard; NotifyMX reuses NotifyEmail's
+        (both use --seed + 1), so a whole run generates two.  One worker
+        keeps every shard's testbed in this process, where the count
+        can see it."""
+        from repro.core import campaign
+
+        seeds = []
+        generate = campaign.generate_keypair
+
+        def counting(*args, **kwargs):
+            seeds.append(kwargs.get("seed"))
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "generate_keypair", counting)
+        code = main([
+            "--experiment", "all", "--scale", "0.002", "--seed", "42",
+            "--out", str(tmp_path), "--quiet", "--workers", "1",
+        ])
+        assert code == 0
+        assert sorted(seeds) == [42 + 1 + 4242, 42 + 4 + 4242]
+
+
 class TestFaults:
     ARTEFACTS = (
         "twoweekmx_report.txt",

@@ -12,8 +12,9 @@ import pytest
 
 from repro.core.campaign import ProbeCampaign, Testbed
 from repro.core.datasets import DatasetSpec, generate_universe
+from repro.core import runner
 from repro.core.runner import main
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, ProgressSink
 from repro.obs.reconcile import entries_from_spans, reconcile_spans
 from repro.obs.spans import load_spans
 
@@ -65,14 +66,36 @@ class TestLiveCampaign:
 @pytest.fixture(scope="module")
 def runner_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("runner_obs")
-    # --workers 1: span dumps are a serial-run artefact (parallel runs
-    # keep span objects inside their worker processes).
+    # --workers 1: the one-shard, in-process run; the sharded run below
+    # covers the process pool.
     code = main(
         ["--experiment", "all", "--scale", "0.003", "--seed", "11", "--out", str(out),
          "--quiet", "--workers", "1"]
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def sharded_run(tmp_path_factory):
+    """A --workers 2 run, with the runner's progress sink kept."""
+    out = tmp_path_factory.mktemp("runner_obs_sharded")
+    sinks = []
+
+    class KeptSink(ProgressSink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sinks.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "ProgressSink", KeptSink)
+        code = main(
+            ["--experiment", "all", "--scale", "0.002", "--seed", "11", "--out", str(out),
+             "--quiet", "--workers", "2"]
+        )
+    assert code == 0
+    (sink,) = sinks
+    return out, sink
 
 
 class TestRunnerArtefacts:
@@ -84,7 +107,7 @@ class TestRunnerArtefacts:
             assert any(span.name == "campaign.run" for span in spans)
 
     def test_notifymx_artefacts_are_cumulative(self, runner_out):
-        """NotifyEmail and NotifyMX share one testbed, so the NotifyMX
+        """NotifyMX continues NotifyEmail's testbed, so the NotifyMX
         span dump contains both campaigns' roots."""
         campaigns = {
             span.attrs.get("campaign")
@@ -92,6 +115,22 @@ class TestRunnerArtefacts:
             if span.name == "campaign.run"
         }
         assert campaigns == {"notifyemail", "NotifyMX"}
+
+    def test_sharded_run_dumps_and_reconciles_spans(self, sharded_run):
+        out, sink = sharded_run
+        for name in ("notifyemail", "notifymx", "twoweekmx"):
+            spans = load_spans(out / ("%s_spans.jsonl" % name))
+            ids = [span.span_id for span in spans]
+            assert len(set(ids)) == len(ids)
+        campaigns = {
+            span.attrs.get("campaign")
+            for span in load_spans(out / "notifymx_spans.jsonl")
+            if span.name == "campaign.run"
+        }
+        assert campaigns == {"notifyemail", "NotifyMX"}
+        # Reconciliation and tracecheck run in the coordinator; any
+        # mismatch would be a warning.
+        assert sink.warnings == []
 
     def test_quiet_run_prints_nothing(self, runner_out, capsys):
         # The fixture already ran with --quiet inside this capsys scope's
